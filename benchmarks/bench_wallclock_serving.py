@@ -4,13 +4,14 @@ through the real numpy transformer.
 Unlike every other benchmark in this directory, the headline numbers here
 are *stopwatch* tokens/s, not roofline-priced ones: the same ragged request
 batch is served twice through :class:`~repro.serving.ServingEngine` over
-:class:`~repro.model.transformer_backend.TransformerLayeredLM` — once with
-the per-sequence decode loop, once with the batched fast path (stacked QKV
-GEMMs, shared weight passes, shrinking batches on early exit) — and the
-committed tokens are asserted identical before any timing is reported.
-Sequential decode is weight-bandwidth-bound, so sharing each layer's weight
-pass across the batch delivers >= 3x wall-clock tokens/s at batch 16 on the
-reference host (the committed baseline records 3.9x).
+:class:`~repro.model.transformer_backend.TransformerLayeredLM` — once
+sequentially (``batch_capacity=1``: one request at a time through the same
+decode step) and once batched (stacked QKV GEMMs, shared weight passes,
+shrinking batches on early exit) — and the committed tokens are asserted
+identical before any timing is reported.  Sequential decode is
+weight-bandwidth-bound, so sharing each layer's weight pass across the batch
+delivers >= 3x wall-clock tokens/s at batch 16 on the reference host (the
+committed baseline records 3.9x).
 
 Wall-clock numbers are machine-dependent; the regression gate therefore
 checks the dimensionless batched/sequential speedup (and the absolute tps
@@ -45,7 +46,8 @@ def _requests(n: int, vocab: int, max_new_tokens: int = MAX_NEW_TOKENS):
 
 
 def run_wallclock_benchmark(seed: int = 0, repeats: int = 2) -> dict:
-    """Serve each batch size batched and sequentially; best-of ``repeats``."""
+    """Serve each batch size batched (``batch_capacity`` = batch size) and
+    sequentially (``batch_capacity=1``); best-of ``repeats``."""
     rig = build_transformer_rig(BENCH_CFG, seed=seed, max_tokens=512)
     batches = {}
     for batch in BATCH_SIZES:
@@ -54,8 +56,8 @@ def run_wallclock_benchmark(seed: int = 0, repeats: int = 2) -> dict:
             best_tps, tokens = 0.0, None
             for _ in range(repeats):
                 serving = rig.serving_engine(
-                    batch_capacity=batch, kv_blocks=2048, block_size=16,
-                    batched=batched,
+                    batch_capacity=batch if batched else 1, kv_blocks=2048,
+                    block_size=16,
                 )
                 report = serving.run(_requests(batch, BENCH_CFG.vocab_size))
                 best_tps = max(best_tps, report.measured_tps)
@@ -71,7 +73,6 @@ def run_wallclock_benchmark(seed: int = 0, repeats: int = 2) -> dict:
             "tokens": batch * MAX_NEW_TOKENS,
             "identical": True,
         }
-    predictor = run_predictor_path_benchmark(rig, repeats=repeats)
     b16 = batches["16"]
     return {
         "config": {"dim": BENCH_CFG.dim, "n_layers": BENCH_CFG.n_layers,
@@ -79,46 +80,10 @@ def run_wallclock_benchmark(seed: int = 0, repeats: int = 2) -> dict:
                    "vocab_size": BENCH_CFG.vocab_size,
                    "max_new_tokens": MAX_NEW_TOKENS},
         "batches": batches,
-        "predictor_path": predictor,
         "gates": {
             "b16_speedup": b16["speedup"],
             "b16_batched_tps": b16["batched_tps"],
-            "predictor_speedup": predictor["speedup"],
         },
-    }
-
-
-def run_predictor_path_benchmark(rig, repeats: int = 2) -> dict:
-    """Batch-16 batched decode with the vectorized predictor tick
-    (union-of-drafts LM-head-slice GEMM, row-stacked features, one MLP pass)
-    vs the per-sequence python loop over the same layer activations.
-
-    The ``all`` scheduler scores every live sequence at every layer, so this
-    isolates the per-layer predictor machinery rather than the decode GEMMs
-    both modes share.  Tokens are asserted identical before timing: the two
-    paths are the same math in a different loop order.
-    """
-    per_mode = {}
-    for vectorized in (True, False):
-        best_tps, tokens = 0.0, None
-        for _ in range(repeats):
-            serving = rig.serving_engine(
-                scheduler_kind="all", batch_capacity=16, kv_blocks=2048,
-                block_size=16, batched=True,
-            )
-            serving.engine.batched_predictors = vectorized
-            report = serving.run(_requests(16, BENCH_CFG.vocab_size))
-            best_tps = max(best_tps, report.measured_tps)
-            tokens = {i: r.tokens for i, r in report.results.items()}
-        per_mode[vectorized] = (best_tps, tokens)
-    if per_mode[True][1] != per_mode[False][1]:
-        raise AssertionError(
-            "batched predictor path diverged from the per-sequence loop")
-    return {
-        "batched_tps": round(per_mode[True][0], 2),
-        "per_sequence_tps": round(per_mode[False][0], 2),
-        "speedup": round(per_mode[True][0] / per_mode[False][0], 3),
-        "identical": True,
     }
 
 
@@ -129,11 +94,6 @@ def render(summary: dict) -> str:
             f"  batch {batch:>2}: batched {row['batched_tps']:8.1f} tok/s | "
             f"sequential {row['sequential_tps']:8.1f} tok/s | "
             f"{row['speedup']:.2f}x (identical={row['identical']})")
-    p = summary["predictor_path"]
-    lines.append(
-        f"  predictor tick @16: vectorized {p['batched_tps']:8.1f} tok/s | "
-        f"per-sequence {p['per_sequence_tps']:8.1f} tok/s | "
-        f"{p['speedup']:.2f}x (identical={p['identical']})")
     return "\n".join(lines)
 
 
@@ -142,7 +102,6 @@ def test_bench_wallclock_serving(benchmark):
     print()
     print(render(summary))
     assert all(row["identical"] for row in summary["batches"].values())
-    assert summary["predictor_path"]["identical"]
     # Same floor as check_regression's WallClock gates: committed baseline
     # minus the loose wall-clock tolerance, so the two gates cannot disagree.
     import os
@@ -152,8 +111,6 @@ def test_bench_wallclock_serving(benchmark):
     with open(baseline_path) as fh:
         gates = json.load(fh)["gates"]
     assert summary["gates"]["b16_speedup"] >= gates["b16_speedup"] * (1.0 - 0.35)
-    assert (summary["gates"]["predictor_speedup"]
-            >= gates["predictor_speedup"] * (1.0 - 0.35))
 
 
 if __name__ == "__main__":

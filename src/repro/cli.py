@@ -539,7 +539,6 @@ def _cmd_serve_trace(args, rig, out: IO[str]) -> int:
     if args.backend == "transformer":
         # Real backend: measured wall-clock numbers next to the modelled ones.
         rows.extend([
-            ["batched decode", "on" if serving.batched else "off"],
             ["wall time (s)", f"{report.wall_time_s:.3f}"],
             ["measured tokens/s (wall-clock)", f"{report.measured_tps:.1f}"],
         ])
@@ -619,7 +618,6 @@ def _cmd_serve(args, out: IO[str]) -> int:
     if args.backend == "transformer":
         # Real backend: measured wall-clock numbers next to the modelled ones.
         rows.extend([
-            ["batched decode", "on" if report.batched_decode else "off"],
             ["wall time (s)", f"{report.wall_time_s:.3f}"],
             ["measured tokens/s (wall-clock)", f"{report.measured_tps:.1f}"],
         ])

@@ -19,7 +19,7 @@ hardware models can price the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.core.verification import verify_exit
 from repro.hardware.ledger import CostLedger, Event
 from repro.model.base import LayeredLM, LMState
 from repro.model.draft import Speculator
+from repro.utils.mathx import log_softmax
 
 __all__ = ["StepRecord", "GenerationResult", "SpecEEEngine", "DRAFT_PAD_MARGIN"]
 
@@ -125,16 +126,6 @@ class SpecEEEngine:
             self.config.scheduler, model.n_layers,
             window=self.config.context_window, vicinity=self.config.layer_vicinity,
         )
-        self._extractor = FeatureExtractor(self.config.num_speculative)
-        # Per-sequence extractors for step_batch (each sequence's feature
-        # variation history must stay isolated); grown on demand.
-        self._extractor_pool: List[FeatureExtractor] = []
-        #: Score every live sequence's exit predictor in one vectorized pass
-        #: per active layer inside :meth:`step_batch` — a single union-sliced
-        #: LM-head GEMM plus one MLP forward — instead of per sequence.
-        #: Decision-identical to the per-sequence path; the flag exists so
-        #: benchmarks and tests can compare the two.
-        self.batched_predictors: bool = True
 
     def generate(
         self,
@@ -156,8 +147,8 @@ class SpecEEEngine:
         if force_tokens is not None:
             max_new_tokens = len(force_tokens)
         for step in range(max_new_tokens):
-            forced = None if force_tokens is None else int(force_tokens[step])
-            self.step(state, result, forced)
+            forced = None if force_tokens is None else [int(force_tokens[step])]
+            self.step_batch([state], [result], [self.scheduler], forced=forced)
         return self.finish(state, result)
 
     # -- incremental API (one sequence among many) ---------------------------
@@ -165,9 +156,9 @@ class SpecEEEngine:
         self, prompt: Sequence[int], script: Optional[Sequence[int]] = None
     ) -> tuple[LMState, GenerationResult]:
         """Start a sequence: model state plus an empty result whose ledger
-        carries the prompt prefill.  Callers driving :meth:`step` directly
+        carries the prompt prefill.  Callers driving :meth:`step_batch` directly
         (the continuous-batching server) own the scheduler lifetime — pass a
-        per-sequence scheduler to every ``step`` call."""
+        per-sequence scheduler to every ``step_batch`` call."""
         state = self.model.start(prompt, script=script)
         result = GenerationResult()
         result.ledger.prompt_tokens = len(state.context)
@@ -180,128 +171,6 @@ class SpecEEEngine:
         result.saturations = list(getattr(state, "saturation_layers", []))
         return result
 
-    def step(
-        self,
-        state: LMState,
-        result: GenerationResult,
-        forced: Optional[int] = None,
-        scheduler: Optional[Scheduler] = None,
-        capture_hidden: bool = False,
-        exit_threshold: Optional[float] = None,
-        draft_len: Optional[int] = None,
-    ) -> StepRecord:
-        """Advance one sequence by one token.
-
-        ``scheduler`` overrides the engine's own predictor scheduler; batched
-        serving passes one per sequence so each request's online exit history
-        stays isolated (and outputs match an unbatched run token for token).
-        ``capture_hidden`` copies the exit-layer hidden state onto the
-        returned record — the serving scheduler persists it as the token's
-        paged-KV payload; plain generation skips the copy.
-
-        ``exit_threshold`` / ``draft_len`` are the adaptive-control actuation
-        points (``repro.serving.control``): the former replaces the configured
-        exit threshold for this token only; the latter truncates the proposed
-        draft to its first ``draft_len`` candidates — fewer LM-head columns
-        sliced per active layer (``LM_HEAD_SLICE`` priced at the truncated
-        width) and fewer candidates verified against.  The draft model still
-        runs at full ``k`` (``DRAFT_STEP`` cost unchanged); truncated feature
-        vectors are padded back to width ``k`` (see :data:`DRAFT_PAD_MARGIN`)
-        so the trained 3k-input predictor MLPs are untouched.  Defaults
-        reproduce the static engine bit for bit.
-        """
-        model, cfg, ledger = self.model, self.config, result.ledger
-        sched = scheduler if scheduler is not None else self.scheduler
-        threshold = cfg.exit_threshold if exit_threshold is None else float(exit_threshold)
-        k = cfg.num_speculative
-        d = k if draft_len is None else max(1, min(k, int(draft_len)))
-        spec_tokens = self.speculator.propose(state.context)
-        if d < k:
-            spec_tokens = spec_tokens[:d]
-        draft_hit = self.speculator.is_hit(state.context)
-        ledger.add(Event.DRAFT_STEP)
-        model.begin_step(state)
-        self._extractor.reset()
-
-        n_layers = model.n_layers
-        exit_token: Optional[int] = None
-        exit_layer = n_layers - 1
-        predictor_evals = 0
-        verify_attempts = 0
-        active_predictors = sched.active_count()
-
-        hidden = None
-        for layer in range(n_layers):
-            hidden = model.layer_forward(state, layer)
-            ledger.add(Event.DECODER_LAYER)
-            if layer >= n_layers - 1 or layer < cfg.min_exit_layer:
-                continue
-            if not sched.is_active(layer):
-                continue
-            spec_logits = model.lm_head_slice(hidden, spec_tokens)
-            ledger.add(Event.LM_HEAD_SLICE, units=d)
-            features = self._extractor.extract(self._pad_draft_logits(spec_logits, k))
-            ledger.add(Event.PREDICTOR)
-            predictor_evals += 1
-            probability = self.predictors.probability(layer, features)
-            if probability < threshold:
-                continue
-            if cfg.verify_on_exit:
-                verify_attempts += 1
-                ledger.add(Event.LM_HEAD_FULL)
-                verdict = verify_exit(model, hidden, spec_tokens)
-                if verdict.ok:
-                    exit_token, exit_layer = verdict.token, layer
-                    break
-            else:
-                # Unverified exit (ablation only): trust the top local token.
-                exit_token = int(spec_tokens[int(np.argmax(spec_logits))])
-                exit_layer = layer
-                break
-
-        if exit_token is None:
-            ledger.add(Event.LM_HEAD_FULL)
-            exit_token = int(np.argmax(model.lm_head_full(hidden)))
-            exit_layer = n_layers - 1
-        else:
-            # Early exit skips the remaining layers; the KV slots they would
-            # have produced are filled from the exit hidden state.
-            ledger.add(Event.KV_FILL, units=n_layers - 1 - exit_layer)
-
-        early = exit_layer < n_layers - 1
-        if forced is not None:
-            from repro.utils.mathx import log_softmax
-
-            result.logprobs.append(float(log_softmax(model.lm_head_full(hidden))[forced]))
-            exit_token = forced
-        model.commit(state, exit_token, exit_layer)
-        if early:
-            sched.observe_exit(exit_layer)
-        ledger.tokens_generated += 1
-        ledger.steps += 1
-        record = StepRecord(
-            token=exit_token, exit_layer=exit_layer, early_exit=early,
-            predictor_evals=predictor_evals, verify_attempts=verify_attempts,
-            active_predictors=active_predictors, draft_hit=draft_hit,
-            hidden=np.array(hidden, copy=True) if capture_hidden and hidden is not None else None,
-        )
-        result.tokens.append(exit_token)
-        result.exit_layers.append(exit_layer)
-        result.records.append(record)
-        return record
-
-    @staticmethod
-    def _pad_draft_logits(spec_logits: np.ndarray, k: int) -> np.ndarray:
-        """Pad a truncated draft's sliced logits back to width ``k`` with a
-        clearly-losing in-distribution value (row minimum minus
-        :data:`DRAFT_PAD_MARGIN`); no-op for full-width drafts."""
-        if len(spec_logits) == k:
-            return spec_logits
-        padded = np.full(k, float(np.min(spec_logits)) - DRAFT_PAD_MARGIN,
-                         dtype=np.float64)
-        padded[: len(spec_logits)] = spec_logits
-        return padded
-
     def step_batch(
         self,
         states: Sequence[LMState],
@@ -310,30 +179,42 @@ class SpecEEEngine:
         capture_hidden: bool = False,
         exit_thresholds: Optional[Sequence[float]] = None,
         draft_lens: Optional[Sequence[int]] = None,
+        forced: Optional[Sequence[Optional[int]]] = None,
     ) -> List[StepRecord]:
-        """Advance many sequences by one token each, batching the layer math.
+        """Advance every sequence by one token; the engine's only decode step.
 
-        The decision logic is exactly :meth:`step`'s, applied per sequence:
-        every sequence keeps its own predictor scheduler, feature-extractor
-        history and cost ledger, so the committed tokens are identical to
-        running the sequences through :meth:`step` one at a time.  What is
-        shared is the *weight pass*: each decoder layer runs once over the
-        batch of sequences still alive at that depth
-        (:meth:`~repro.model.base.LayeredLM.layer_forward_batch`), and
-        sequences drop out of the batch the moment their exit verifies — the
-        SpecEE layer-skip shape, now with shrinking GEMMs.  With
-        :attr:`batched_predictors` set (the default) the per-layer exit
-        machinery is vectorized too: one LM-head slice over the union of all
-        live sequences' draft tokens, one feature-extraction pass and one MLP
-        forward score the whole block, replacing the per-sequence python
-        loop.  Backends without real batched math
-        (``supports_batched_decode`` False) fall back to a scalar
-        :meth:`step` loop.
+        Each sequence keeps its own predictor scheduler (``schedulers``,
+        aligned with ``states``), feature history and cost ledger, so its
+        tokens do not depend on what it is batched with: :meth:`generate` is
+        this method on a batch of one.  What is shared is the weight pass:
+        each decoder layer runs once over the sequences still alive at that
+        depth (:meth:`~repro.model.base.LayeredLM.layer_forward_batch`), and a
+        sequence drops out of the batch the moment its exit verifies — the
+        SpecEE layer-skip shape, with shrinking GEMMs.  The exit machinery is
+        batched the same way: per layer, one LM-head slice over the
+        scheduler-active rows' draft tokens, one feature pass and one MLP
+        forward score them all.
 
-        ``exit_thresholds`` / ``draft_lens`` carry per-sequence adaptive
-        control overrides (see :meth:`step`), aligned with ``states``; both
-        paths honor them, and ``None`` (the default) reproduces the static
-        engine bit for bit.
+        ``capture_hidden`` copies each exit-layer hidden state onto its
+        record; the serving engines persist it as the token's paged-KV
+        payload.
+
+        ``exit_thresholds`` / ``draft_lens`` are the per-sequence adaptive-
+        control actuation points (``repro.serving.control``): the former
+        replaces the configured exit threshold for this token only; the latter
+        truncates the proposed draft to its first ``draft_len`` candidates —
+        fewer LM-head columns sliced per active layer (``LM_HEAD_SLICE``
+        priced at the truncated width) and fewer candidates verified against.
+        The draft model still runs at full ``k`` (``DRAFT_STEP`` cost
+        unchanged); truncated feature rows are padded back to width ``k`` (see
+        :data:`DRAFT_PAD_MARGIN`) so the trained 3k-input predictor MLPs are
+        untouched.  ``None`` reproduces the static engine bit for bit.
+
+        ``forced`` holds one optional reference token per sequence (teacher
+        forcing): the exit layer is still decided freely, the reference's
+        log-probability under the exit-layer distribution is appended to the
+        result's ``logprobs``, and the reference is committed instead of the
+        decoded token.
         """
         b = len(states)
         if not (b == len(results) == len(schedulers)):
@@ -341,150 +222,120 @@ class SpecEEEngine:
         if b == 0:
             return []
         model, cfg = self.model, self.config
-        k = cfg.num_speculative
+        k, n_layers = cfg.num_speculative, model.n_layers
         ths = ([cfg.exit_threshold] * b if exit_thresholds is None
                else [float(t) for t in exit_thresholds])
         ds = ([k] * b if draft_lens is None
               else [max(1, min(k, int(d))) for d in draft_lens])
-        if not (b == len(ths) == len(ds)):
+        forced = [None] * b if forced is None else list(forced)
+        if not (b == len(ths) == len(ds) == len(forced)):
             raise ValueError("control overrides must align with states")
-        if not model.supports_batched_decode:
-            return [self.step(state, result, scheduler=sched,
-                              capture_hidden=capture_hidden,
-                              exit_threshold=th, draft_len=d)
-                    for state, result, sched, th, d
-                    in zip(states, results, schedulers, ths, ds)]
 
-        spec_tokens = [self.speculator.propose(state.context) for state in states]
+        drafts = [self.speculator.propose(state.context)[:d]
+                  for state, d in zip(states, ds)]
         draft_hits = [self.speculator.is_hit(state.context) for state in states]
-        while len(self._extractor_pool) < b:
-            self._extractor_pool.append(FeatureExtractor(cfg.num_speculative))
-        extractors = self._extractor_pool[:b]
-        for result, extractor in zip(results, extractors):
+        for result in results:
             result.ledger.add(Event.DRAFT_STEP)
-            extractor.reset()
-
-        n_layers = model.n_layers
-        # Load-shortened drafts, padded back to width k by repeating the top
-        # candidate so every row stays rectangular for the union slice; the
-        # padded columns are floored below the row minimum after the gather,
-        # so feature rows match the scalar path's padded vectors exactly.
-        cand = np.stack([
-            spec_tokens[i] if ds[i] == k else
-            np.concatenate([spec_tokens[i][:ds[i]],
-                            np.repeat(spec_tokens[i][:1], k - ds[i])])
-            for i in range(b)])
-        d_arr = np.asarray(ds)
+        # Load-shortened drafts are padded back to width k by repeating the
+        # top candidate, so every row stays rectangular for the shared slice;
+        # ``pad`` marks those columns, floored below the row minimum after
+        # the gather.
+        cand = np.array([t if len(t) == k else
+                         np.concatenate([t, np.repeat(t[:1], k - len(t))])
+                         for t in drafts])
+        pad = (np.arange(k)[None, :] >= np.asarray(ds)[:, None]
+               if min(ds) < k else None)
         exit_token: List[Optional[int]] = [None] * b
         exit_layer = [n_layers - 1] * b
+        exit_hidden: List[Optional[np.ndarray]] = [None] * b
         predictor_evals = [0] * b
         verify_attempts = [0] * b
         active_predictors = [sched.active_count() for sched in schedulers]
-        # Vectorized-path feature history, mirroring FeatureExtractor's state:
-        # each row's last evaluated local probabilities plus a validity bit
-        # (the first evaluated layer of a step reports zero variation).
+        # Each row's feature history, FeatureExtractor's state one row per
+        # sequence: its last evaluated local probabilities, valid once the
+        # row has been evaluated this step (the first evaluation reports zero
+        # variation).
         last_probs = np.zeros((b, k))
-        has_last = np.zeros(b, dtype=bool)
 
-        hidden = model.begin_step_batch(states)  # [B, dim]
+        # ``h`` holds the live rows' activations compacted: row ``pos`` is
+        # sequence ``live[pos]``.  It is re-sliced only when a row exits.
+        h = model.begin_step_batch(states)
         live = list(range(b))
+        live_states = list(states)
         for layer in range(n_layers):
-            new = model.layer_forward_batch([states[i] for i in live], layer,
-                                            hidden[live])
-            hidden[live] = new
+            h = model.layer_forward_batch(live_states, layer, h)
             for i in live:
                 results[i].ledger.add(Event.DECODER_LAYER)
             if layer >= n_layers - 1 or layer < cfg.min_exit_layer:
                 continue
-            scored: Dict[int, Tuple[np.ndarray, float]] = {}
-            if self.batched_predictors:
-                # One pass scores every scheduler-active sequence: slice the
-                # LM head once over the union of all draft tokens, gather
-                # each row's own candidates back out, extract features and
-                # run the layer's MLP over the whole block.
-                active = [(pos, i) for pos, i in enumerate(live)
-                          if schedulers[i].is_active(layer)]
-                if active:
-                    rows = [pos for pos, _ in active]
-                    idxs = [i for _, i in active]
-                    union, inverse = np.unique(
-                        np.concatenate([cand[i] for i in idxs]),
-                        return_inverse=True)
-                    sliced = model.lm_head_slice_batch(new[rows], union)
-                    cols = inverse.reshape(len(idxs), k)
-                    local = sliced[np.arange(len(idxs))[:, None], cols]
-                    pad = np.arange(k)[None, :] >= d_arr[idxs][:, None]
-                    if pad.any():
-                        # Padded columns gathered token-0's (real) logit, so
-                        # the row min equals the min over the real columns.
-                        floor = local.min(axis=1, keepdims=True) - DRAFT_PAD_MARGIN
-                        local = np.where(pad, floor, local)
-                    feats, probs = FeatureExtractor.extract_rows(
-                        local, last_probs[idxs], has_last[idxs])
-                    last_probs[idxs] = probs
-                    has_last[idxs] = True
-                    scores = self.predictors.probability_batch(layer, feats)
-                    scored = {i: (local[j], float(scores[j]))
-                              for j, i in enumerate(idxs)}
-            still: List[int] = []
-            for pos, i in enumerate(live):
-                if self.batched_predictors:
-                    if i not in scored:
-                        still.append(i)
-                        continue
-                    local_logits, probability = scored[i]
-                else:
-                    if not schedulers[i].is_active(layer):
-                        still.append(i)
-                        continue
-                    local_logits = model.lm_head_slice(
-                        new[pos], spec_tokens[i][:ds[i]])
-                    probability = self.predictors.probability(
-                        layer, extractors[i].extract(
-                            self._pad_draft_logits(local_logits, k)))
+            rows = [pos for pos, i in enumerate(live) if schedulers[i].is_active(layer)]
+            if not rows:
+                continue
+            idxs = [live[pos] for pos in rows]
+            # One slice over every active row's candidates, concatenated;
+            # row j keeps its own k columns, the j-th diagonal block.
+            m = len(idxs)
+            sliced = model.lm_head_slice_batch(h[rows], cand[idxs].ravel())
+            local = sliced.reshape(m * m, k)[:: m + 1]
+            if pad is not None:
+                # Padded columns gathered the top candidate's (real) logit,
+                # so the row minimum is the minimum over the real columns.
+                local = np.where(pad[idxs],
+                                 local.min(axis=1, keepdims=True) - DRAFT_PAD_MARGIN,
+                                 local)
+            feats, probs = FeatureExtractor.extract_rows(
+                local, last_probs[idxs], [predictor_evals[i] > 0 for i in idxs])
+            last_probs[idxs] = probs
+            scores = self.predictors.probability_batch(layer, feats)
+            exited = False
+            for j, (pos, i) in enumerate(zip(rows, idxs)):
                 ledger = results[i].ledger
                 ledger.add(Event.LM_HEAD_SLICE, units=ds[i])
                 ledger.add(Event.PREDICTOR)
                 predictor_evals[i] += 1
-                if probability < ths[i]:
-                    still.append(i)
+                if scores[j] < ths[i]:
                     continue
                 if cfg.verify_on_exit:
                     verify_attempts[i] += 1
                     ledger.add(Event.LM_HEAD_FULL)
-                    verdict = verify_exit(model, new[pos], spec_tokens[i][:ds[i]])
-                    if verdict.ok:
-                        exit_token[i], exit_layer[i] = verdict.token, layer
-                    else:
-                        still.append(i)
+                    verdict = verify_exit(model, h[pos], drafts[i])
+                    if not verdict.ok:
+                        continue
+                    exit_token[i] = verdict.token
                 else:
                     # Unverified exit (ablation only): trust the top local token.
-                    exit_token[i] = int(spec_tokens[i][int(np.argmax(local_logits))])
-                    exit_layer[i] = layer
-            live = still
-            if not live:
-                break
+                    exit_token[i] = int(drafts[i][int(np.argmax(local[j, :ds[i]]))])
+                exit_layer[i], exit_hidden[i] = layer, h[pos]
+                exited = True
+            if exited:
+                keep = [pos for pos, i in enumerate(live) if exit_token[i] is None]
+                live = [live[pos] for pos in keep]
+                if not live:
+                    break
+                h = h[keep]
+                live_states = [states[i] for i in live]
 
-        finals = [i for i in range(b) if exit_token[i] is None]
-        if finals:
-            logits = model.lm_head_full_batch(hidden[finals])
-            for row, i in zip(logits, finals):
+        if live:
+            logits = model.lm_head_full_batch(h)
+            for pos, i in enumerate(live):
                 results[i].ledger.add(Event.LM_HEAD_FULL)
-                exit_token[i] = int(np.argmax(row))
-                exit_layer[i] = n_layers - 1
-
-        for i in range(b):
-            if exit_layer[i] < n_layers - 1:
-                results[i].ledger.add(Event.KV_FILL,
-                                      units=n_layers - 1 - exit_layer[i])
+                exit_token[i] = int(np.argmax(logits[pos]))
+                exit_hidden[i] = h[pos]
+        for i, token in enumerate(forced):
+            if token is not None:
+                logits = model.lm_head_full(exit_hidden[i])
+                results[i].logprobs.append(float(log_softmax(logits)[token]))
+                exit_token[i] = int(token)
         model.commit_batch(states, exit_token, exit_layer)
 
         records: List[StepRecord] = []
         for i in range(b):
+            ledger = results[i].ledger
             early = exit_layer[i] < n_layers - 1
             if early:
+                # The skipped layers' KV slots are filled from the exit hidden.
+                ledger.add(Event.KV_FILL, units=n_layers - 1 - exit_layer[i])
                 schedulers[i].observe_exit(exit_layer[i])
-            ledger = results[i].ledger
             ledger.tokens_generated += 1
             ledger.steps += 1
             record = StepRecord(
@@ -492,7 +343,7 @@ class SpecEEEngine:
                 predictor_evals=predictor_evals[i],
                 verify_attempts=verify_attempts[i],
                 active_predictors=active_predictors[i], draft_hit=draft_hits[i],
-                hidden=np.array(hidden[i], copy=True) if capture_hidden else None,
+                hidden=np.array(exit_hidden[i], copy=True) if capture_hidden else None,
             )
             results[i].tokens.append(exit_token[i])
             results[i].exit_layers.append(exit_layer[i])

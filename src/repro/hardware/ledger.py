@@ -11,7 +11,7 @@ price ledgers; experiments diff them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Iterator
 
 __all__ = ["Event", "CostLedger"]
 
@@ -136,9 +136,6 @@ class CostLedger:
         layers = (self.calls(Event.DECODER_LAYER) + self.calls(Event.TREE_VERIFY_LAYER)
                   + self.calls(Event.BATCH_DECODER_LAYER))
         return layers / self.tokens_generated
-
-    def as_dict(self) -> Mapping[str, Dict[str, float]]:
-        return {k: {"calls": e.calls, "units": e.units} for k, e in self._entries.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}={e.calls:.0f}" for k, e in sorted(self._entries.items()))

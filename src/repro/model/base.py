@@ -54,16 +54,11 @@ class LayeredLM(abc.ABC):
     decode* surface (``begin_step_batch`` / ``layer_forward_batch`` /
     ``lm_head_full_batch`` / ``commit_batch`` / ``step_batch``) that advances
     many sequences one layer at a time, so per-sequence early exits shrink
-    the batch mid-stack.  The default implementations fall back to the scalar
-    methods (correct for every backend); backends that can run genuinely
-    batched math set ``supports_batched_decode = True`` and override them —
-    see :class:`~repro.model.transformer_backend.TransformerLayeredLM`.
+    the batch mid-stack.  The SpecEE engine decodes only through it.  The
+    default implementations loop over the scalar methods (correct for every
+    backend); backends with genuinely batched math override them — see
+    :class:`~repro.model.transformer_backend.TransformerLayeredLM`.
     """
-
-    #: Whether the batched-decode overrides run real [B, dim] math (True) or
-    #: the scalar fallbacks (False).  Serving uses this to pick the wall-clock
-    #: fast path.
-    supports_batched_decode: bool = False
 
     # -- static shape ------------------------------------------------------
     @property
@@ -110,16 +105,14 @@ class LayeredLM(abc.ABC):
         """Accept ``token`` as the step's output, generated at ``exit_layer``."""
 
     # -- batched decode ------------------------------------------------------
-    def begin_step_batch(self, states: Sequence[LMState]) -> Optional[np.ndarray]:
-        """Prepare every state for its next token.
-
-        Returns the ``[B, hidden]`` batch of current activations when the
-        backend runs genuinely batched math, else ``None`` (the scalar
-        fallback keeps activations inside each state).
-        """
+    def begin_step_batch(self, states: Sequence[LMState]) -> np.ndarray:
+        """Prepare every state for its next token; returns the ``[B, hidden]``
+        batch of current activations.  The default keeps each state's
+        activation inside the state and returns a zero placeholder batch,
+        which the default :meth:`layer_forward_batch` ignores."""
         for state in states:
             self.begin_step(state)
-        return None
+        return np.zeros((len(states), self.hidden_dim))
 
     def layer_forward_batch(
         self,
@@ -129,28 +122,17 @@ class LayeredLM(abc.ABC):
     ) -> np.ndarray:
         """Run decoder layer ``layer`` for every state; returns ``[B, hidden]``.
 
-        ``hidden`` is the batch returned by the previous call (ignored by the
-        scalar fallback, which reads each state's own activation).  Callers
-        shrink ``states`` between layers as sequences exit early — that is
-        the SpecEE layer-skip shape, and for batched backends it shrinks the
-        GEMMs accordingly.
+        ``hidden`` is the batch returned by the previous call, its rows
+        aligned with ``states`` (ignored by the default, which reads each
+        state's own activation).  Callers shrink ``states`` between layers as
+        sequences exit early — that is the SpecEE layer-skip shape, and for
+        batched backends it shrinks the GEMMs accordingly.
         """
         return np.stack([self.layer_forward(state, layer) for state in states])
 
     def lm_head_full_batch(self, hidden: np.ndarray) -> np.ndarray:
-        """Full-vocabulary logits for a ``[B, hidden]`` batch.
-
-        Tries one :meth:`lm_head_full` call over the whole batch — a single
-        GEMM for heads that broadcast over a leading batch axis — and only
-        falls back to per-row projection for backends whose head cannot.
-        """
-        hidden = np.asarray(hidden)
-        try:
-            logits = np.asarray(self.lm_head_full(hidden))
-        except Exception:
-            logits = None
-        if logits is not None and logits.shape == (hidden.shape[0], self.vocab_size):
-            return logits
+        """Full-vocabulary logits for a ``[B, hidden]`` batch.  Batched
+        backends override this with one GEMM; the default projects per row."""
         return np.stack([self.lm_head_full(h) for h in hidden])
 
     def lm_head_slice_batch(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
@@ -192,16 +174,11 @@ class LayeredLM(abc.ABC):
         for e in exits:
             if not 0 <= e < self.n_layers:
                 raise ValueError(f"exit layer {e} outside [0, {self.n_layers})")
-        b = len(states)
-        batch = self.begin_step_batch(states)
-        hidden: Optional[np.ndarray] = batch
+        hidden = self.begin_step_batch(states)
         for layer in range(max(exits) + 1):
-            idx = [i for i in range(b) if exits[i] >= layer]
-            sub = None if hidden is None else hidden[idx]
-            new = self.layer_forward_batch([states[i] for i in idx], layer, sub)
-            if hidden is None:
-                hidden = np.zeros((b, new.shape[-1]))
-            hidden[idx] = new
+            idx = [i for i, e in enumerate(exits) if e >= layer]
+            hidden[idx] = self.layer_forward_batch(
+                [states[i] for i in idx], layer, hidden[idx])
         logits = self.lm_head_full_batch(hidden)
         tokens = [int(t) for t in np.argmax(logits, axis=-1)]
         self.commit_batch(states, tokens, exits)

@@ -92,10 +92,6 @@ class KVCache:
             raise ValueError(f"cannot truncate layer {layer} to {length}")
         self._lengths[layer] = length
 
-    def truncate_all(self, length: int) -> None:
-        for layer in range(self.n_layers):
-            self.truncate(layer, min(length, self.length(layer)))
-
     def nbytes(self) -> int:
         return self._k.nbytes + self._v.nbytes
 

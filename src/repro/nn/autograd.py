@@ -11,7 +11,7 @@ runs the closures in reverse topological order.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -327,16 +327,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     onehot[np.arange(n), targets] = 1.0
     picked = (log_probs * Tensor(onehot)).sum(axis=-1)
     return -picked.mean()
-
-
-def parameters_of(items: Iterable[object]) -> List[Tensor]:
-    """Collect unique trainable tensors from a nested iterable of modules."""
-    params: List[Tensor] = []
-    seen = set()
-    for item in items:
-        tensors = item.parameters() if hasattr(item, "parameters") else [item]
-        for t in tensors:
-            if isinstance(t, Tensor) and t.requires_grad and id(t) not in seen:
-                seen.add(id(t))
-                params.append(t)
-    return params

@@ -96,12 +96,6 @@ class QuantizedLinear:
         """4-bit weights plus fp16 group scales."""
         return self.q.size * 0.5 + self.scales.size * 2.0
 
-    def dequantized(self) -> np.ndarray:
-        w = dequantize_groupwise(self.q, self.scales, self.group_size)
-        if self.input_scale is not None:
-            w = w * self.input_scale[:, None]
-        return w
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.input_scale is not None:

@@ -36,10 +36,10 @@ hooks: swap moves the transformer's :class:`~repro.nn.attention.KVCache` to
 a host blob bit for bit, and recompute replays the context at full depth on
 resume — both alongside the modelled ``KV_SWAP``/``PREFILL_LAYER`` charges.
 
-Backends that support batched decode (``supports_batched_decode``) run each
-tick's decode through :meth:`SpecEEEngine.step_batch`, so the transformer
-serves real ``[B, dim]`` math under the async scheduler; the report then
-carries wall-clock time and measured tokens/s next to the modelled clock.
+Each tick's decode runs through :meth:`SpecEEEngine.step_batch`, so the
+transformer serves real ``[B, dim]`` math under the async scheduler; the
+report carries wall-clock time and measured tokens/s next to the modelled
+clock.
 
 Passing a :class:`~repro.distributed.ClusterSpec` runs the same trace on a
 modelled ``tp x pp`` cluster: ticks are priced by
@@ -380,7 +380,6 @@ class AsyncServingEngine:
         chunk_prefill_tokens: Optional[int] = 32,
         scheduling: Union[str, SchedulingPolicy] = "fifo_priority",
         cluster=None,
-        batched: Optional[bool] = None,
         control: Union[str, ControlPolicy, SpeculationController, None] = None,
         control_seed: int = 0,
         faults: Optional[ReplicaFaultView] = None,
@@ -397,10 +396,7 @@ class AsyncServingEngine:
         pipeline stage (``kv_blocks`` blocks on each stage device).
         ``scheduling`` picks the :class:`SchedulingPolicy` that orders
         admission/service and selects preemption victims (``"fifo_priority"``
-        or ``"edf"``, or a policy instance).  ``batched`` routes each tick's
-        decode through :meth:`SpecEEEngine.step_batch` (real ``[B, dim]``
-        math on backends that support it); the default follows the model's
-        ``supports_batched_decode``.
+        or ``"edf"``, or a policy instance).
 
         ``control`` attaches a load-adaptive :class:`SpeculationController`
         (``"static"``/``"pressure"``/``"bandit"``, a policy instance, or a
@@ -465,8 +461,6 @@ class AsyncServingEngine:
         self.preemption = preemption
         self.chunk_prefill_tokens = chunk_prefill_tokens
         self.scheduling = make_scheduling_policy(scheduling)
-        self.batched = (engine.model.supports_batched_decode
-                        if batched is None else bool(batched))
         if control is None:
             self.controller: Optional[SpeculationController] = None
         elif isinstance(control, SpeculationController):
@@ -760,10 +754,9 @@ class AsyncServingEngine:
     def _decode(self, runnable: List[AsyncSequence], tick: CostLedger) -> List[int]:
         """Advance every runnable sequence one token.
 
-        With :attr:`batched` set the whole tick runs through
-        :meth:`SpecEEEngine.step_batch` (one layer pass over the live batch,
-        shrinking as sequences exit); otherwise sequences step one at a time.
-        Either way each sequence keeps its own ledger, and the per-sequence
+        The whole tick runs through :meth:`SpecEEEngine.step_batch` (one
+        layer pass over the live batch, shrinking as sequences exit).  Each
+        sequence keeps its own ledger, and the per-sequence
         ``DECODER_LAYER`` calls are dropped from the tick in favour of the
         rebatched ``BATCH_DECODER_LAYER`` events recorded below.
         """
@@ -781,20 +774,11 @@ class AsyncServingEngine:
             # drafts, overriding any controller actuation.
             exit_ths = [DENSE_THRESHOLD] * len(runnable)
             draft_ls = [1] * len(runnable)
-        if self.batched:
-            records = self.engine.step_batch(
-                [slot.state for slot in runnable],
-                [slot.result for slot in runnable],
-                [slot.scheduler for slot in runnable], capture_hidden=True,
-                exit_thresholds=exit_ths, draft_lens=draft_ls)
-        else:
-            ths = exit_ths if exit_ths is not None else [None] * len(runnable)
-            lens = draft_ls if draft_ls is not None else [None] * len(runnable)
-            records = [self.engine.step(slot.state, slot.result,
-                                        scheduler=slot.scheduler,
-                                        capture_hidden=True,
-                                        exit_threshold=th, draft_len=dl)
-                       for slot, th, dl in zip(runnable, ths, lens)]
+        records = self.engine.step_batch(
+            [slot.state for slot in runnable],
+            [slot.result for slot in runnable],
+            [slot.scheduler for slot in runnable], capture_hidden=True,
+            exit_thresholds=exit_ths, draft_lens=draft_ls)
         for slot, before, record in zip(runnable, befores, records):
             delta = slot.result.ledger.delta_since(before)
             dropped_layers += delta.calls(Event.DECODER_LAYER)
@@ -1216,9 +1200,3 @@ class AsyncServingEngine:
         if ledger.tokens_generated == 0:
             return float(self.engine.model.n_layers)
         return ledger.units(Event.BATCH_DECODER_LAYER) / ledger.tokens_generated
-
-    def observed_exit_rate(self) -> float:
-        """Fraction of the layer stack early exit skips, averaged per token:
-        0 = every token runs full depth, higher = more/earlier exits."""
-        return 1.0 - (self.observed_layers_per_token()
-                      / self.engine.model.n_layers)

@@ -296,11 +296,6 @@ class ThompsonBanditPolicy(ControlPolicy):
         self._counts[arm] += 1
         self._means[arm] += (value - self._means[arm]) / self._counts[arm]
 
-    def arm_counts(self) -> Dict[ControlAction, int]:
-        """Completed-request count per arm (diagnostics)."""
-        return {action: int(count)
-                for action, count in zip(self.arms, self._counts)}
-
 
 CONTROL_POLICIES = {
     StaticControlPolicy.name: StaticControlPolicy,

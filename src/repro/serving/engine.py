@@ -105,11 +105,6 @@ class RequestMetrics:
         return self.admitted_step - self.submitted_step
 
     @property
-    def service_steps(self) -> int:
-        """Steps from admission to the final token (inclusive)."""
-        return self.finished_step - self.admitted_step + 1
-
-    @property
     def latency_steps(self) -> int:
         """End-to-end steps from submission to the final token."""
         return self.finished_step - self.submitted_step + 1
@@ -129,7 +124,6 @@ class ServingReport:
     tick_layer_batches: List[List[int]] = field(default_factory=list)
     cluster: Optional[object] = None  # ClusterSpec when the run was sharded
     wall_time_s: float = 0.0  # measured host seconds spent inside run()
-    batched_decode: bool = False  # whether the run used the batched fast path
     prefix_share: bool = False  # whether prompts were paged through the radix tree
     prefix_matched_tokens: int = 0  # prompt tokens adopted from shared blocks
     prefix_hit_rate: float = float("nan")  # matched / prefix-prefilled prompt tokens
@@ -234,23 +228,18 @@ class ServingEngine:
         n_kv_heads: Optional[int] = None,
         scheduler_factory: Optional[Callable[[], Scheduler]] = None,
         cluster=None,
-        batched: Optional[bool] = None,
         prefix_share: bool = False,
     ):
         """Build the server; ``cluster`` (a ``ClusterSpec``) shards the run.
 
         ``kv_blocks`` is per device: under pipeline parallelism each stage
         owns its own pool of that size (:func:`build_paged_cache`).
-        ``batched`` picks the decode inner loop (see
-        :class:`ContinuousBatchScheduler`); the default ``None`` enables the
-        batched fast path exactly for backends with real batched math.
         ``prefix_share`` pages prompts through the copy-on-write radix tree:
         admissions adopt previously seen prefixes and the serving ledger
         charges only the unmatched prefill suffix (plus ``PREFIX_REUSE``
         adoption overhead) — tokens are identical either way.
         """
         self.engine = engine
-        self.batched = batched
         self.prefix_share = bool(prefix_share)
         self.cluster = cluster if cluster is not None and not cluster.is_single else None
         if self.cluster is not None:
@@ -277,11 +266,10 @@ class ServingEngine:
         start_time = time.perf_counter()
         scheduler = ContinuousBatchScheduler(
             self.engine, self.cache, self.policy, self.scheduler_factory,
-            batched=self.batched,
         )
         for request in requests:
             scheduler.submit(request)
-        report = ServingReport(cluster=self.cluster, batched_decode=scheduler.batched)
+        report = ServingReport(cluster=self.cluster)
         while scheduler.has_work:
             outcome = scheduler.tick()
             report.batch_occupancy.append(outcome.occupancy)

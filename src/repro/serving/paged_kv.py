@@ -204,10 +204,6 @@ class PagedKVCache:
             del self._ref[block]
             self.allocator.free(block)
 
-    def block_ref_count(self, block: int) -> int:
-        """Current holder count of a physical block (sharing mode only)."""
-        return self._ref.get(block, 0)
-
     # -- KV I/O ---------------------------------------------------------------
     def append(self, seq_id: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append one token's KV (``[n_kv_heads, head_dim]``).

@@ -5,7 +5,7 @@ Every global step ("tick") the scheduler
 1. **joins** — admits queued requests while the batch has slots and the paged
    KV pool can absorb their worst-case block need,
 2. **advances** — runs every live sequence one token through
-   :meth:`SpecEEEngine.step` with its own predictor scheduler (per-sequence
+   :meth:`SpecEEEngine.step_batch` with its own predictor scheduler (per-sequence
    early-exit depth and online exit history stay isolated, which is what
    makes batched output token-identical to unbatched decoding), appending
    each committed token's exit hidden state to the paged KV cache,
@@ -88,25 +88,12 @@ class ContinuousBatchScheduler:
         cache: PagedKVCache,
         policy: AdmissionPolicy,
         scheduler_factory: Callable[[], Scheduler],
-        batched: Optional[bool] = None,
     ):
-        """Wire the scheduler to one engine, KV cache and admission policy.
-
-        ``batched`` selects the decode inner loop: ``True`` drives
-        :meth:`SpecEEEngine.step_batch` (one shared weight pass per layer per
-        tick — the wall-clock fast path for real backends), ``False`` the
-        per-sequence :meth:`SpecEEEngine.step` loop, and ``None`` (default)
-        picks batched exactly when the model's
-        ``supports_batched_decode`` says the batch runs real math.  Either
-        way the committed tokens and per-sequence ledgers are identical.
-        """
+        """Wire the scheduler to one engine, KV cache and admission policy."""
         self.engine = engine
         self.cache = cache
         self.policy = policy
         self.scheduler_factory = scheduler_factory
-        if batched is None:
-            batched = engine.model.supports_batched_decode
-        self.batched = bool(batched)
         self.queue = RequestQueue()
         self.running: List[SequenceSlot] = []
         self.reserved_blocks = 0
@@ -184,23 +171,17 @@ class ContinuousBatchScheduler:
         """Admit, advance every live sequence one token, retire finished."""
         outcome = TickOutcome(step=self.step_count)
         self._admit(outcome)
-        if self.batched and self.running:
-            records = self.engine.step_batch(
-                [slot.state for slot in self.running],
-                [slot.result for slot in self.running],
-                [slot.scheduler for slot in self.running],
-                capture_hidden=True,
-            )
-        else:
-            records = [self.engine.step(slot.state, slot.result,
-                                        scheduler=slot.scheduler, capture_hidden=True)
-                       for slot in self.running]
+        records = self.engine.step_batch(
+            [slot.state for slot in self.running],
+            [slot.result for slot in self.running],
+            [slot.scheduler for slot in self.running],
+            capture_hidden=True,
+        )
         for slot, record in zip(self.running, records):
             outcome.depths.append(record.exit_layer + 1)
             outcome.records.append(record)
-            if record.hidden is not None:
-                kv = record.hidden.reshape(self.cache.n_kv_heads, self.cache.head_dim)
-                self.cache.append(slot.request.request_id, kv, kv)
+            kv = record.hidden.reshape(self.cache.n_kv_heads, self.cache.head_dim)
+            self.cache.append(slot.request.request_id, kv, kv)
         outcome.kv_blocks_in_use = self.cache.blocks_in_use()
         self._retire(outcome)
         self.step_count += 1

@@ -57,13 +57,13 @@ def fresh(seed=77, transient_rate=None):
 class _AlwaysFirePredictor(PredictorBank):
     """Adversarial predictor that fires at every layer."""
 
-    def probability(self, layer, features):
-        return 1.0
+    def probability_batch(self, layer, features):
+        return np.ones(len(features))
 
 
 class _NeverFirePredictor(PredictorBank):
-    def probability(self, layer, features):
-        return 0.0
+    def probability_batch(self, layer, features):
+        return np.zeros(len(features))
 
 
 class TestAdversarialPredictors:
@@ -79,7 +79,9 @@ class TestAdversarialPredictors:
         result = engine.generate([3, 1, 4], 60)
         dense = DenseEngine(fresh(transient_rate=0.0)).generate([3, 1, 4], 60)
         assert result.tokens == dense.tokens
-        # It pays for its eagerness in verification calls.
+        # The fake fired on every evaluation, so each one was verified...
+        assert all(r.verify_attempts == r.predictor_evals for r in result.records)
+        # ...and it pays for its eagerness in verification calls.
         assert result.ledger.calls(Event.LM_HEAD_FULL) > 60
 
     def test_never_fire_degrades_to_dense(self):

@@ -208,7 +208,7 @@ class TestStepAPI:
         scheduler = engine.scheduler
         scheduler.reset()
         for _ in range(20):
-            engine.step(state, result, scheduler=scheduler)
+            engine.step_batch([state], [result], [scheduler])
         engine.finish(state, result)
         assert result.tokens == reference.tokens
         assert result.exit_layers == reference.exit_layers
@@ -218,8 +218,9 @@ class TestStepAPI:
         engine = rig.specee_engine()
         state, result = engine.prefill([1, 2, 3])
         engine.scheduler.reset()
-        record = engine.step(state, result, capture_hidden=True)
+        [record] = engine.step_batch([state], [result], [engine.scheduler],
+                                     capture_hidden=True)
         assert record.hidden is not None
         assert record.hidden.shape == (rig.model.hidden_dim,)
-        plain = engine.step(state, result)
+        [plain] = engine.step_batch([state], [result], [engine.scheduler])
         assert plain.hidden is None  # plain generation skips the copy

@@ -1,7 +1,8 @@
-"""Real-transformer serving: the batched decode fast path must be
-token-identical to the sequential per-sequence loop — across ragged prompt
-lengths, per-sequence early exits with KV hidden-state propagation, and
-sequences retiring mid-batch — while measuring wall-clock throughput."""
+"""Real-transformer serving: batched decode must reproduce per-request
+``SpecEEEngine.generate`` (the same decode step on a batch of one) token for
+token — across ragged prompt lengths, per-sequence early exits with KV
+hidden-state propagation, and sequences retiring mid-batch — while measuring
+wall-clock throughput."""
 
 import numpy as np
 import pytest
@@ -34,10 +35,37 @@ def ragged_requests():
             for i, (n, b) in enumerate(zip(lengths, budgets))]
 
 
-def run_serving(rig, batched, config=None, capacity=4):
-    serving = rig.serving_engine(batch_capacity=capacity, kv_blocks=256,
-                                 block_size=8, batched=batched, config=config)
+def run_serving(rig, config=None, capacity=4, scheduler_kind="two_level"):
+    serving = rig.serving_engine(scheduler_kind=scheduler_kind,
+                                 batch_capacity=capacity, kv_blocks=256,
+                                 block_size=8, config=config)
     return serving.run(ragged_requests())
+
+
+#: Ledger kinds one decode step charges to its sequence.
+DECODE_EVENTS = (Event.DRAFT_STEP, Event.DECODER_LAYER, Event.LM_HEAD_SLICE,
+                 Event.PREDICTOR, Event.LM_HEAD_FULL, Event.KV_FILL)
+
+
+def generate_reference(rig, requests, config=None, scheduler_kind="two_level"):
+    """Per-request ``SpecEEEngine.generate``: the batch of one every served
+    request must reproduce."""
+    engine = rig.specee_engine(scheduler_kind, config)
+    return {r.request_id: engine.generate(r.prompt, r.max_new_tokens)
+            for r in requests}
+
+
+def assert_matches_generate(report, reference):
+    """Tokens, exit layers and per-kind decode ledger calls/units of every
+    served request equal its per-request ``generate`` run."""
+    assert set(report.results) == set(reference)
+    for rid, ref in reference.items():
+        got = report.results[rid]
+        assert got.tokens == ref.tokens, rid
+        assert got.exit_layers == ref.exit_layers, rid
+        for kind in DECODE_EVENTS:
+            assert got.ledger.calls(kind) == ref.ledger.calls(kind), (rid, kind)
+            assert got.ledger.units(kind) == ref.ledger.units(kind), (rid, kind)
 
 
 def burst_requests(n=4, tokens=10):
@@ -58,41 +86,36 @@ def tight_async(rig, **overrides):
 
 class TestBatchedIdentity:
     def test_batched_tokens_identical_to_sequential(self, rig):
-        batched = run_serving(rig, batched=True)
-        sequential = run_serving(rig, batched=False)
-        assert batched.batched_decode and not sequential.batched_decode
-        assert {i: r.tokens for i, r in batched.results.items()} == \
-               {i: r.tokens for i, r in sequential.results.items()}
-        assert {i: r.exit_layers for i, r in batched.results.items()} == \
-               {i: r.exit_layers for i, r in sequential.results.items()}
+        assert_matches_generate(run_serving(rig),
+                                generate_reference(rig, ragged_requests()))
 
     def test_identity_with_frequent_early_exits(self, rig):
-        batched = run_serving(rig, batched=True, config=EXITY_CFG)
-        sequential = run_serving(rig, batched=False, config=EXITY_CFG)
+        served = run_serving(rig, config=EXITY_CFG)
         n_early = sum(sum(r.early_exit for r in res.records)
-                      for res in batched.results.values())
+                      for res in served.results.values())
         assert n_early >= 5, "config must actually trigger early exits"
-        exits = {l for res in batched.results.values() for l in res.exit_layers}
+        exits = {l for res in served.results.values() for l in res.exit_layers}
         assert len(exits) > 1, "exits must be ragged across the layer range"
-        assert {i: r.tokens for i, r in batched.results.items()} == \
-               {i: r.tokens for i, r in sequential.results.items()}
-        assert {i: r.exit_layers for i, r in batched.results.items()} == \
-               {i: r.exit_layers for i, r in sequential.results.items()}
+        assert_matches_generate(
+            served, generate_reference(rig, ragged_requests(), EXITY_CFG))
 
     def test_identity_across_capacities(self, rig):
         """Admission order changes with capacity, tokens must not."""
-        small = run_serving(rig, batched=True, config=EXITY_CFG, capacity=2)
-        large = run_serving(rig, batched=True, config=EXITY_CFG, capacity=6)
+        small = run_serving(rig, config=EXITY_CFG, capacity=2)
+        large = run_serving(rig, config=EXITY_CFG, capacity=6)
         assert {i: r.tokens for i, r in small.results.items()} == \
                {i: r.tokens for i, r in large.results.items()}
 
     def test_ledgers_identical_to_sequential(self, rig):
-        batched = run_serving(rig, batched=True, config=EXITY_CFG)
-        sequential = run_serving(rig, batched=False, config=EXITY_CFG)
-        for kind in (Event.DECODER_LAYER, Event.LM_HEAD_SLICE, Event.PREDICTOR,
-                     Event.LM_HEAD_FULL, Event.KV_FILL):
-            assert batched.sequential_ledger.calls(kind) == \
-                   sequential.sequential_ledger.calls(kind), kind
+        """The serving run's summed per-sequence ledger is the sum of the
+        per-request ``generate`` ledgers, kind by kind."""
+        served = run_serving(rig, config=EXITY_CFG)
+        reference = generate_reference(rig, ragged_requests(), EXITY_CFG)
+        for kind in DECODE_EVENTS:
+            assert served.sequential_ledger.calls(kind) == \
+                   sum(r.ledger.calls(kind) for r in reference.values()), kind
+            assert served.sequential_ledger.units(kind) == \
+                   sum(r.ledger.units(kind) for r in reference.values()), kind
 
     def test_early_exit_kv_propagation_keeps_caches_rectangular(self, rig):
         """Early exits must leave every (sequence, layer) cache rectangular:
@@ -113,19 +136,19 @@ class TestBatchedIdentity:
 
 class TestWallClockReport:
     def test_measured_throughput_present(self, rig):
-        report = run_serving(rig, batched=True)
+        report = run_serving(rig)
         assert report.wall_time_s > 0.0
         assert np.isfinite(report.measured_tps) and report.measured_tps > 0.0
 
     def test_modelled_numbers_still_priced(self, rig):
-        report = run_serving(rig, batched=True)
+        report = run_serving(rig)
         priced = report.priced_speedup(get_model_spec("llama2-7b"),
                                        "a100-80g", "vllm")
         assert priced["serving_tps"] > 0 and priced["sequential_tps"] > 0
 
     def test_batch_decoder_layer_events_emitted(self, rig):
         """The serving ledger still rebatches per-tick layer runs."""
-        report = run_serving(rig, batched=True)
+        report = run_serving(rig)
         assert report.serving_ledger.calls(Event.BATCH_DECODER_LAYER) > 0
         assert report.serving_ledger.units(Event.BATCH_DECODER_LAYER) == \
                report.sequential_ledger.calls(Event.DECODER_LAYER)
@@ -133,19 +156,14 @@ class TestWallClockReport:
 
 class TestSchedulerIsolation:
     def test_per_sequence_online_history_isolated(self, rig):
-        """Two-level/online schedulers keep per-sequence exit history, so the
-        batched run must also match sequential under an online scheduler."""
+        """Two-level/online schedulers keep per-sequence exit history, so a
+        run with every request in one batch must also match per-request
+        generate under an online scheduler."""
         cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1,
                            scheduler="online", verify_on_exit=False)
-        reports = {}
-        for batched in (True, False):
-            serving = rig.serving_engine(scheduler_kind="online",
-                                         batch_capacity=4, kv_blocks=256,
-                                         block_size=8, batched=batched,
-                                         config=cfg)
-            reports[batched] = serving.run(ragged_requests())
-        assert {i: r.tokens for i, r in reports[True].results.items()} == \
-               {i: r.tokens for i, r in reports[False].results.items()}
+        assert_matches_generate(
+            run_serving(rig, config=cfg, capacity=6, scheduler_kind="online"),
+            generate_reference(rig, ragged_requests(), cfg, "online"))
 
 
 class TestRealKVPreemption:
@@ -184,7 +202,7 @@ class TestRealKVPreemption:
                 else:
                     rig.model.drop_state_kv(state)
                     rig.model.recompute_state(state)
-            engine.step(state, result)
+            engine.step_batch([state], [result], [engine.scheduler])
         return result
 
     def test_mid_decode_swap_roundtrip_token_identical(self, rig):
@@ -230,19 +248,19 @@ class TestAsyncTransformer:
             assert report.recomputes == report.preemptions
 
     def test_async_matches_sync_without_pressure(self, rig):
-        ref = run_serving(rig, batched=True, config=EXITY_CFG)
+        ref = run_serving(rig, config=EXITY_CFG)
         report = rig.async_serving_engine(
             batch_capacity=4, kv_blocks=256, block_size=8,
             config=EXITY_CFG).run(ragged_requests())
         assert {i: r.tokens for i, r in report.results.items()} == \
                {i: r.tokens for i, r in ref.results.items()}
 
-    def test_scalar_fallback_identical(self, rig):
+    def test_preempted_burst_matches_generate(self, rig):
         requests = burst_requests()
-        batched = tight_async(rig, batched=True).run(requests)
-        scalar = tight_async(rig, batched=False).run(requests)
-        assert {i: r.tokens for i, r in batched.results.items()} == \
-               {i: r.tokens for i, r in scalar.results.items()}
+        report = tight_async(rig).run(requests)
+        assert report.preemptions > 0, "config must actually exercise preemption"
+        assert_matches_generate(
+            report, generate_reference(rig, burst_requests(), EXITY_CFG))
 
     def test_wall_clock_reported(self, rig):
         report = tight_async(rig).run(burst_requests())
@@ -255,7 +273,7 @@ class TestShardedTransformer:
     must stay token-identical to the single-device run, sync and async."""
 
     def test_sync_sharded_tokens_identical(self, rig):
-        single = run_serving(rig, batched=True, config=EXITY_CFG)
+        single = run_serving(rig, config=EXITY_CFG)
         serving = rig.serving_engine(
             batch_capacity=4, kv_blocks=256, block_size=8, config=EXITY_CFG,
             cluster=make_cluster("a100-80g", tp=2, pp=2))
@@ -281,47 +299,27 @@ class TestShardedTransformer:
 
 class TestBatchedPredictorPath:
     """The vectorized speculative-head/feature/predictor tick must make the
-    same exit decisions and charge the same ledgers as the python loop."""
-
-    def run_with_flag(self, rig, flag, scheduler_kind="two_level", config=None):
-        serving = rig.serving_engine(
-            scheduler_kind=scheduler_kind, batch_capacity=4, kv_blocks=256,
-            block_size=8, batched=True, config=config or EXITY_CFG)
-        serving.engine.batched_predictors = flag
-        return serving.run(ragged_requests())
+    same exit decisions and charge the same ledgers whether a sequence is
+    served in a batch or generated alone."""
 
     def test_decisions_identical_to_per_sequence(self, rig):
-        batched = self.run_with_flag(rig, True)
-        scalar = self.run_with_flag(rig, False)
-        assert {i: r.tokens for i, r in batched.results.items()} == \
-               {i: r.tokens for i, r in scalar.results.items()}
-        assert {i: r.exit_layers for i, r in batched.results.items()} == \
-               {i: r.exit_layers for i, r in scalar.results.items()}
-        for kind in (Event.DECODER_LAYER, Event.LM_HEAD_SLICE, Event.PREDICTOR,
-                     Event.LM_HEAD_FULL, Event.KV_FILL):
-            assert batched.sequential_ledger.calls(kind) == \
-                   scalar.sequential_ledger.calls(kind), kind
-            assert batched.sequential_ledger.units(kind) == \
-                   scalar.sequential_ledger.units(kind), kind
+        """The ``all`` scheduler scores every live row at every layer."""
+        assert_matches_generate(
+            run_serving(rig, config=EXITY_CFG, scheduler_kind="all"),
+            generate_reference(rig, ragged_requests(), EXITY_CFG, "all"))
 
     def test_identical_under_verified_exits(self, rig):
         cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1,
                            scheduler="all", verify_on_exit=True)
-        batched = self.run_with_flag(rig, True, config=cfg)
-        scalar = self.run_with_flag(rig, False, config=cfg)
-        assert {i: r.tokens for i, r in batched.results.items()} == \
-               {i: r.tokens for i, r in scalar.results.items()}
+        assert_matches_generate(run_serving(rig, config=cfg),
+                                generate_reference(rig, ragged_requests(), cfg))
 
     def test_identical_under_online_scheduler(self, rig):
         cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1,
                            scheduler="online", verify_on_exit=False)
-        batched = self.run_with_flag(rig, True, "online", cfg)
-        scalar = self.run_with_flag(rig, False, "online", cfg)
-        assert {i: r.tokens for i, r in batched.results.items()} == \
-               {i: r.tokens for i, r in scalar.results.items()}
-
-    def test_default_is_batched(self, rig):
-        assert rig.specee_engine(config=EXITY_CFG).batched_predictors is True
+        assert_matches_generate(
+            run_serving(rig, config=cfg, scheduler_kind="online"),
+            generate_reference(rig, ragged_requests(), cfg, "online"))
 
 
 class TestTransformerServeCli:
@@ -331,7 +329,6 @@ class TestTransformerServeCli:
         out = capsys.readouterr().out
         assert "transformer backend" in out
         assert "measured tokens/s (wall-clock)" in out
-        assert "batched decode" in out
 
     def test_serve_transformer_sharded(self, capsys):
         assert main(["serve", "--backend", "transformer", "--tp", "2",
